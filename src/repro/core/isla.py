@@ -21,7 +21,7 @@ Modes:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame
 
@@ -128,10 +128,10 @@ def isla_avg(
         m_s, m_l = moments.get(b, (RegionMoments.empty(), RegionMoments.empty()))
         ans = modulate_block(m_s, m_l, sketch_for[b], cfg)
         # Translate the partial back to the original domain (footnote 1).
-        blocks[b] = BlockAnswer(
-            ans.partial - shift, ans.case, ans.alpha, ans.q, ans.dev,
-            ans.u, ans.v, ans.k, ans.c - shift if ans.c else ans.c,
-            ans.d0, ans.iters, ans.clamped,
+        blocks[b] = replace(
+            ans,
+            partial=ans.partial - shift,
+            c=None if ans.c is None else ans.c - shift,
         )
 
     answer = summarize({b: a.partial for b, a in blocks.items()}, pre.block_sizes)

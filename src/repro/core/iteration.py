@@ -27,7 +27,7 @@ Answers are optionally clamped to the sketch confidence interval
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import ISLAConfig
 from repro.core.leverage import theorem3_kc
@@ -36,7 +36,11 @@ from repro.core.moments import RegionMoments
 
 @dataclass(frozen=True)
 class BlockAnswer:
-    """Outcome of Phase 2 on one block (diagnostics included)."""
+    """Outcome of Phase 2 on one block (diagnostics included).
+
+    ``k`` and ``c`` are None when Case 5 returned sketch0 before
+    Theorem 3 was evaluated.
+    """
 
     partial: float
     case: int
@@ -45,8 +49,8 @@ class BlockAnswer:
     dev: float
     u: int
     v: int
-    k: float
-    c: float
+    k: float | None
+    c: float | None
     d0: float
     iters: int
     clamped: bool
@@ -78,11 +82,11 @@ def _answer(
         # One side of the distribution produced no samples — the data
         # boundaries give no dev signal; fall back to the sketch.
         return BlockAnswer(sketch0, 5, 0.0, 1.0, math.inf if v == 0 else 0.0,
-                           u, v, 0.0, 0.0, 0.0, 0, False)
+                           u, v, None, None, 0.0, 0, False)
     dev = u / v
     lo, hi = cfg.dev_case5
     if lo < dev < hi:
-        return BlockAnswer(sketch0, 5, 0.0, 1.0, dev, u, v, 0.0, 0.0, 0.0, 0, False)
+        return BlockAnswer(sketch0, 5, 0.0, 1.0, dev, u, v, None, None, 0.0, 0, False)
 
     q = cfg.leverage_allocating_q(dev)
     k, c = theorem3_kc(m_s, m_l, q)
@@ -150,9 +154,5 @@ def modulate_block(
     radius = cfg.t_e * cfg.e
     lo, hi = sketch0 - radius, sketch0 + radius
     if ans.partial < lo or ans.partial > hi:
-        clamped = min(max(ans.partial, lo), hi)
-        return BlockAnswer(
-            clamped, ans.case, ans.alpha, ans.q, ans.dev, ans.u, ans.v,
-            ans.k, ans.c, ans.d0, ans.iters, True,
-        )
+        return replace(ans, partial=min(max(ans.partial, lo), hi), clamped=True)
     return ans

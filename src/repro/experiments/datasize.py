@@ -11,7 +11,7 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from repro.core import ISLAConfig, isla_avg
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import fmt_table, round_robin_sizes
 from repro.synth_data import blocked_normal
 
 
@@ -41,3 +41,14 @@ def run_datasize(
         finally:
             df.unpersist()
     return out
+
+
+def format_datasize(res: dict) -> str:
+    """§VIII-A as markdown: ISLA answer and required m per data size M."""
+    return fmt_table(
+        ["M"] + [str(m) for m in res["M"]],
+        [
+            ["ISLA"] + [round(x, 4) for x in res["ISLA"]],
+            ["m required"] + res["m_required"],
+        ],
+    )

@@ -22,6 +22,7 @@ from pyspark.sql import functions as F
 from repro.baselines import mv_avg, mvb_avg, stratified_avg, uniform_avg
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
 from repro.core.pre_estimation import compute_block_sizes, pre_estimate
+from repro.experiments.runner import fmt_table
 from repro.synth_data import lineitem
 
 
@@ -73,3 +74,17 @@ def run_efficiency(
         return out
     finally:
         df.unpersist()
+
+
+def format_efficiency(res: dict) -> str:
+    """§VIII-F as markdown: total time and last answer per method."""
+    methods = ["ISLA", "MV", "MVB", "US", "STS"]
+    md = fmt_table(
+        ["Metric"] + methods,
+        [
+            ["time_ms"] + [round(res["time_ms"][m], 1) for m in methods],
+            ["answer"] + [round(res["answers"][m], 2) for m in methods],
+        ],
+    )
+    md += f"\n\naccurate = {res['accurate']:.2f}, rate = {res['rate']:.4f}, repeats = {res['repeats']}"
+    return md

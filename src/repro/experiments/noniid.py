@@ -10,6 +10,7 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from repro.core import ISLAConfig, isla_avg
+from repro.experiments.runner import fmt_table
 from repro.synth_data import blocked_noniid_normal
 
 
@@ -40,3 +41,13 @@ def run_noniid(
         finally:
             df.unpersist()
     return out
+
+
+def format_noniid(res: dict) -> str:
+    """§VIII-D as markdown: one ISLA answer per run."""
+    md = fmt_table(
+        ["Run"] + [str(i + 1) for i in range(len(res["ISLA"]))],
+        [["ISLA"] + [round(x, 4) for x in res["ISLA"]]],
+    )
+    md += f"\n\naccurate = {res['accurate']}, e = {res['e']}"
+    return md

@@ -24,7 +24,7 @@ from repro.baselines import mv_avg, mvb_avg, stratified_avg, uniform_avg
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
 from repro.core.config import z_score
 from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import exact_avg, round_robin_sizes
+from repro.experiments.runner import exact_avg, fmt_table, round_robin_sizes
 from repro.synth_data import salary_like, tlc_like
 
 
@@ -78,4 +78,18 @@ def run_realdata(
     return out
 
 
-__all__ = ["run_realdata", "exact_avg"]
+def format_realdata(res: dict) -> str:
+    """§VIII-G as markdown: accurate value and every method's answer."""
+    rows = []
+    for name in ("salary", "tlc"):
+        r = res[name]
+        rows.append(
+            [name, round(r["accurate"], 2)]
+            + [round(r[m], 2) for m in ("ISLA", "MV", "MVB", "US", "STS")]
+        )
+    return fmt_table(
+        ["Dataset", "Accurate", "ISLA", "MV", "MVB", "US", "STS"], rows
+    )
+
+
+__all__ = ["run_realdata", "format_realdata", "exact_avg"]

@@ -11,7 +11,7 @@ from pyspark.sql import SparkSession
 from repro.baselines.measure_biased import mv_block_avgs, mvb_block_avgs
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
 from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import fmt_table, round_robin_sizes
 from repro.synth_data import blocked_normal
 
 
@@ -48,3 +48,17 @@ def run_table4(
         }
     finally:
         df.unpersist()
+
+
+def format_table4(res: dict) -> str:
+    """Table IV as markdown: per-block partials, then sketch0 and the answer."""
+    rows = [
+        [m] + [round(x, 4) for x in res[m]]
+        + [round(sum(res[m]) / len(res[m]), 4)]
+        for m in ("ISLA", "MV", "MVB")
+    ]
+    md = fmt_table(
+        ["Partial"] + [str(b + 1) for b in res["blocks"]] + ["Average"], rows
+    )
+    md += f"\n\nsketch0 = {res['sketch0']:.4f}, ISLA final = {res['ISLA_final']:.4f}"
+    return md

@@ -12,7 +12,7 @@ from pyspark.sql import SparkSession
 from repro.baselines import stratified_avg, uniform_avg
 from repro.core import ISLAConfig, isla_avg
 from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import fmt_table, round_robin_sizes
 from repro.synth_data import blocked_normal
 
 
@@ -50,3 +50,16 @@ def run_table5(
         finally:
             df.unpersist()
     return out
+
+
+def format_table5(res: dict) -> str:
+    """Table V as markdown, then the participating sample counts."""
+    rows = [[m] + [round(x, 4) for x in res[m]] for m in ("ISLA", "US", "STS")]
+    md = fmt_table(
+        ["Data set"] + [str(d) for d in res["datasets"]], rows
+    )
+    md += (
+        f"\n\nISLA participating samples: {res['isla_samples']}"
+        f" — US/STS sample size m: {res['us_samples']}"
+    )
+    return md

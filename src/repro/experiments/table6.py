@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.baselines import mv_avg, mvb_avg
-from repro.core import DataBoundaries, ISLAConfig, isla_avg
-from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import round_robin_sizes
+from repro.core import ISLAConfig
+from repro.experiments.runner import fmt_table, isla_mv_mvb, round_robin_sizes
 from repro.synth_data import blocked_exponential
 
 
@@ -31,14 +29,16 @@ def run_table6(
            "ISLA": [], "MV": [], "MVB": []}
     for i, gamma in enumerate(gammas):
         seed = seed0 + 10 * i
-        df = blocked_exponential(spark, n=n, b=b, gamma=gamma, seed=seed).cache()
-        try:
-            pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
-            res = isla_avg(df, "v", "block", cfg, pre=pre, seed=seed)
-            bounds = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
-            out["ISLA"].append(res.answer)
-            out["MV"].append(mv_avg(df, "v", pre.rate, seed=seed + 5))
-            out["MVB"].append(mvb_avg(df, "v", pre.rate, bounds, seed=seed + 6))
-        finally:
-            df.unpersist()
+        df = blocked_exponential(spark, n=n, b=b, gamma=gamma, seed=seed)
+        for k, ans in zip(("ISLA", "MV", "MVB"), isla_mv_mvb(df, cfg, sizes, seed)):
+            out[k].append(ans)
     return out
+
+
+def format_table6(res: dict) -> str:
+    """Table VI as markdown: accurate and estimated AVG per γ."""
+    rows = [
+        [m] + [round(x, 4) for x in res[m]]
+        for m in ("Accurate", "ISLA", "MV", "MVB")
+    ]
+    return fmt_table(["γ"] + [str(g) for g in res["gammas"]], rows)

@@ -4,9 +4,14 @@ These verify structure and the paper's qualitative *shape* at reduced n
 (the benchmark-scale runs that populate EXPERIMENTS.md use the full
 defaults).
 """
+import inspect
+import json
+
 import pytest
 
+import repro.experiments
 from repro.experiments import (
+    EXPERIMENTS,
     run_datasize,
     run_efficiency,
     run_noniid,
@@ -17,7 +22,8 @@ from repro.experiments import (
     run_table6,
     run_table7,
 )
-from repro.experiments.runner import fmt_table
+from repro.experiments.__main__ import main
+from repro.experiments.runner import OUT, fmt_table
 
 
 class TestTable3:
@@ -205,3 +211,33 @@ class TestFmtTable:
         assert lines[1] == "|---|---|"
         assert "2.3457" in lines[2]
         assert lines[3].startswith("| x |")
+
+
+class TestRegistry:
+    """The registry, its formatters and the bench's shape checks (no Spark)."""
+
+    def test_names_are_the_runners(self):
+        runners = [n for n in repro.experiments.__all__ if n.startswith("run_")]
+        assert list(EXPERIMENTS) == [n.removeprefix("run_") for n in runners]
+        for name, exp in EXPERIMENTS.items():
+            assert exp.run is getattr(repro.experiments, f"run_{name}")
+
+    def test_small_overrides_are_runner_keywords(self):
+        for exp in EXPERIMENTS.values():
+            assert set(exp.small) <= set(inspect.signature(exp.run).parameters)
+
+    def test_shape_checks_cover_the_registry(self):
+        from benchmarks.bench_experiments import SHAPE_CHECKS
+
+        assert set(SHAPE_CHECKS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_formatter_renders_committed_result(self, name):
+        res = json.loads((OUT / f"{name}.json").read_text())
+        lines = EXPERIMENTS[name].table(res).splitlines()
+        assert lines[0].startswith("| ") and lines[0].endswith(" |")
+        assert set(lines[1]) == {"|", "-"}
+
+    def test_cli_rejects_unknown_name(self):
+        with pytest.raises(SystemExit):
+            main(["table99"])

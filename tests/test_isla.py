@@ -108,18 +108,36 @@ class TestNormalData:
 
 
 class TestNegativeData:
-    def test_shift_handles_negative_values(self, spark):
-        """Footnote 1: translate to positive, compute, translate back."""
+    @pytest.fixture(scope="class")
+    def res(self, spark):
         df = blocked_normal(spark, n=N, b=B, mu=-50.0, sigma=10.0, seed=5).cache()
         try:
-            res = isla_avg(
+            yield isla_avg(
                 df, "v", "block", ISLAConfig(e=0.5),
                 block_sizes=round_robin_sizes(N, B), seed=5,
             )
-            assert res.pre.shift > 0
-            assert abs(res.answer - (-50.0)) < 0.5
         finally:
             df.unpersist()
+
+    def test_shift_handles_negative_values(self, res):
+        """Footnote 1: translate to positive, compute, translate back."""
+        assert res.pre.shift > 0
+        assert abs(res.answer - (-50.0)) < 0.5
+
+    def test_block_answers_translated_back(self, res):
+        """Each block's c is shifted back with its partial, so Alg. 2's
+        avg = kα + c holds in the original domain; Case 5 never
+        computes k or c."""
+        assert res.pre.shift > 0
+        modulated = [
+            a for a in res.blocks.values() if a.case != 5 and not a.clamped
+        ]
+        assert modulated  # the check below must see at least one block
+        for a in modulated:
+            assert a.k * a.alpha + a.c == pytest.approx(a.partial, abs=1e-9)
+        for a in res.blocks.values():
+            if a.case == 5:
+                assert a.k is None and a.c is None
 
 
 class TestOtherDistributions:

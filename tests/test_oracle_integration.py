@@ -1,11 +1,12 @@
 """Oracle-backed ground truths for the TPC-H efficiency workload and
 the oracle helper's own contract."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders
+from repro.synth_data import lineitem
 
 
 class TestLineitemGroundTruth:
@@ -47,7 +48,14 @@ class TestLineitemGroundTruth:
     def test_join_shuffle_path_vs_duckdb(self, spark, li):
         """A shuffle join sanity check at the oracle (broadcast joins
         are disabled session-wide by conftest)."""
-        o = orders(spark, sf=0.01, seed=1301)
+        n_orders = 15_000  # l_orderkey's range at sf=0.01
+        g = np.random.default_rng(1301)
+        o = spark.createDataFrame(pd.DataFrame({
+            "o_orderkey": np.arange(1, n_orders + 1),
+            "o_orderpriority": g.choice(
+                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n_orders
+            ),
+        }))
         spark_df = (
             li.join(o, li.l_orderkey == o.o_orderkey)
             .groupBy("o_orderpriority")

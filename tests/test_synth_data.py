@@ -13,14 +13,9 @@ from repro.synth_data import (
     blocked_normal_pdf,
     blocked_uniform,
     blocked_uniform_pdf,
-    customer,
     lineitem,
-    orders,
-    part,
     salary_like,
     tlc_like,
-    uniform_keys,
-    zipf_keys,
 )
 
 
@@ -146,16 +141,3 @@ class TestProvidedTPCH:
         df = lineitem(spark, sf=0.001)
         assert "l_extendedprice" in df.columns
         assert df.count() == 6_000
-
-    @pytest.mark.parametrize("gen,n", [(orders, 1_500), (customer, 150), (part, 200)])
-    def test_other_tables(self, spark, gen, n):
-        assert gen(spark, sf=0.001).count() == n
-
-    def test_key_generators(self, spark):
-        z = zipf_keys(spark, n=1_000, n_keys=100)
-        u = uniform_keys(spark, n=1_000, n_keys=100)
-        assert z.count() == 1_000 and u.count() == 1_000
-        # Zipf head key dominates; uniform does not.
-        top_z = z.groupBy("k").count().orderBy(F.desc("count")).first()["count"]
-        top_u = u.groupBy("k").count().orderBy(F.desc("count")).first()["count"]
-        assert top_z > top_u
