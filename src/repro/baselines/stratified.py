@@ -25,14 +25,18 @@ def stratified_avg(
     """Stratified AVG estimate: Σ mean_j·|B_j| / Σ|B_j|."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    fractions = {b: min(1.0, rate) for b in block_sizes}
+    # Every stratum has the same rate, so one Bernoulli sample of the table
+    # is the stratified sample; strata missing from ``block_sizes`` are
+    # dropped on the driver.
     rows = (
-        df.sampleBy(block_col, fractions, seed=seed)
+        df.sample(fraction=min(1.0, rate), seed=seed)
         .groupBy(block_col)
         .agg(F.avg(F.col(value_col).cast("double")).alias("mean"))
         .collect()
     )
-    means = {r[block_col]: float(r["mean"]) for r in rows}
+    means = {
+        r[block_col]: float(r["mean"]) for r in rows if r[block_col] in block_sizes
+    }
     if not means:
         raise ValueError("stratified sample was empty — rate too small")
     M = sum(block_sizes[b] for b in means)

@@ -11,8 +11,9 @@ parameters p1 < p2 (defaults 0.5 / 2.0):
 
 Both a plain-Python classifier (driver-side math, tests) and a Spark
 ``Column`` classifier (Algorithm 1's distributed tagging) are provided.
-The Spark variant takes the bound *columns*, so per-block boundaries
-(§VII-C non-iid extension) work by broadcast-joining a bounds table.
+The Spark variant takes the bounds as columns: iid mode passes literals
+(:func:`region_column_for`); only the per-block boundaries of the §VII-C
+non-iid extension come from a broadcast-joined bounds table.
 """
 from __future__ import annotations
 
@@ -96,9 +97,9 @@ def region_column(
 ) -> Column:
     """Spark expression tagging each row with its region name.
 
-    Bound arguments are columns so that per-block boundaries (non-iid
-    mode) come from a joined bounds table; for the iid case they are
-    simply literals.
+    Bound arguments are columns: literals for one global boundary set
+    (iid mode, :func:`region_column_for`), or the columns of a joined
+    bounds table for per-block boundaries (non-iid mode only).
     """
     return (
         F.when(value <= s_lower, Region.TS.value)

@@ -4,8 +4,8 @@ Per block, ISLA records only ``param_S``/``param_L`` =
 (counter, sum, squareSum, cubeSum) of the samples falling in the S/L
 regions; everything else is dropped. In Spark this is:
 
-    sampleBy(block)                       # per-block Bernoulli sampling
-      → region tag from the (joined) boundary columns
+    sample                                # Bernoulli sampling
+      → region tag from the boundaries
       → filter(region ∈ {S, L})
       → groupBy(block, region).agg(count, Σx, Σx², Σx³)
 
@@ -13,9 +13,22 @@ which is exactly the streaming update loop of Algorithm 1, executed by
 Catalyst with partial aggregation (the "no sample storage" property is
 preserved: the shuffle carries 4 numbers per (block, region)).
 
-Per-block boundary columns come from a broadcast-joined bounds table so
-that the §VII-C non-iid extension (different boundaries per block) uses
-the same job; the iid case simply repeats one row per block.
+Two plans, chosen from the input:
+
+* iid (one fraction and one boundary set for every block):
+  ``df.sample(f, seed)`` and a region tag with literal bounds — no
+  per-block lookup and no join;
+* per-block (§VII-C non-iid extension: different rates and boundaries
+  per block): ``sampleBy(block)`` and boundary columns from a
+  broadcast-joined bounds table.
+
+``sample(seed)``, ``rand(seed)`` and ``sampleBy(seed)`` all draw one
+``XORShiftRandom(seed + partitionIndex)`` number per row in scan order,
+so both plans keep the same rows for the same seed and fractions, and
+sum them in the same order. The exception is an uncached local relation
+(a small ``createDataFrame``): there the optimizer evaluates
+``sampleBy``'s filter on the driver as one partition, so the two plans
+draw different (equally valid) Bernoulli samples.
 """
 from __future__ import annotations
 
@@ -25,7 +38,12 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.boundaries import DataBoundaries, Region, region_column
+from repro.core.boundaries import (
+    DataBoundaries,
+    Region,
+    region_column,
+    region_column_for,
+)
 
 
 @dataclass(frozen=True)
@@ -111,39 +129,55 @@ def sample_region_moments(
 
     Parameters
     ----------
-    fractions : per-block Bernoulli sampling fraction (``sampleBy``); the
-        iid case passes the same rate for every block, the non-iid case
-        passes the blev-derived rates of §VII-C.
+    fractions : per-block Bernoulli sampling fraction; the iid case
+        passes the same rate for every block, the non-iid case passes
+        the blev-derived rates of §VII-C.
     bounds_by_block : per-block data boundaries in the *shifted* domain.
     shift : translation d applied to values before classification
         (footnote 1: make all data positive); boundaries must already be
         expressed in the shifted domain.
 
-    Returns a dict with, for every block that produced at least one S or
-    L sample, the pair (param_S, param_L); a region with no samples is
-    :meth:`RegionMoments.empty`.
+    When every clipped fraction is equal and every block has the same
+    boundaries, the job is ``df.sample`` plus a literal-bound region tag;
+    otherwise it is ``sampleBy`` plus a broadcast-joined bounds table.
+    Both keep the same rows for the same seed (except on an uncached
+    local relation; see the module docstring).
+
+    Returns a dict with, for every block listed in both maps that
+    produced at least one S or L sample, the pair (param_S, param_L); a
+    region with no samples is :meth:`RegionMoments.empty`.
     """
     clipped = {b: min(1.0, max(0.0, f)) for b, f in fractions.items()}
-    sampled = df.sampleBy(block_col, clipped, seed=seed)
     v = F.col(value_col).cast("double") + F.lit(float(shift))
-    bounds_df = _bounds_table(df, block_col, bounds_by_block)
-    tagged = (
-        sampled.join(F.broadcast(bounds_df), on=block_col, how="inner")
-        .withColumn("__v", v)
-        .withColumn(
-            "__region",
-            region_column(
-                F.col("__v"),
-                F.col("__s_lower"),
-                F.col("__s_upper"),
-                F.col("__l_lower"),
-                F.col("__l_upper"),
-            ),
+    fraction_set = set(clipped.values())
+    bounds_set = set(bounds_by_block.values())
+    if len(fraction_set) == 1 and len(bounds_set) == 1:
+        (fraction,), (bounds,) = fraction_set, bounds_set
+        tagged = (
+            df.sample(fraction=fraction, seed=seed)
+            .withColumn("__v", v)
+            .withColumn("__region", region_column_for(bounds, F.col("__v")))
         )
-        .filter(F.col("__region").isin(Region.S.value, Region.L.value))
-    )
+    else:
+        bounds_df = _bounds_table(df, block_col, bounds_by_block)
+        tagged = (
+            df.sampleBy(block_col, clipped, seed=seed)
+            .join(F.broadcast(bounds_df), on=block_col, how="inner")
+            .withColumn("__v", v)
+            .withColumn(
+                "__region",
+                region_column(
+                    F.col("__v"),
+                    F.col("__s_lower"),
+                    F.col("__s_upper"),
+                    F.col("__l_lower"),
+                    F.col("__l_upper"),
+                ),
+            )
+        )
     rows = (
-        tagged.groupBy(block_col, "__region")
+        tagged.filter(F.col("__region").isin(Region.S.value, Region.L.value))
+        .groupBy(block_col, "__region")
         .agg(
             F.count("*").alias("n"),
             F.sum("__v").alias("s1"),
@@ -155,6 +189,10 @@ def sample_region_moments(
     out: BlockMoments = {}
     for r in rows:
         block = r[block_col]
+        # The iid plan samples every block; keep those the per-block plan
+        # keeps (sampleBy drops unlisted fractions, the join unlisted bounds).
+        if block not in clipped or block not in bounds_by_block:
+            continue
         m_s, m_l = out.get(block, (RegionMoments.empty(), RegionMoments.empty()))
         m = RegionMoments(int(r["n"]), float(r["s1"]), float(r["s2"]), float(r["s3"]))
         if r["__region"] == Region.S.value:

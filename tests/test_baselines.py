@@ -71,6 +71,23 @@ class TestStratified:
         with pytest.raises(ValueError):
             stratified_avg(sdf, "v", "block", 0.0, {0: 1})
 
+    @pytest.mark.parametrize("b", [6, 5], ids=["all-blocks", "one-unlisted"])
+    def test_equals_textbook_estimator_over_sampleby(self, sdf, b):
+        """Σ mean_j·|B_j| / Σ|B_j| over ``sampleBy`` at the same rate and
+        seed; a block missing from the sizes takes no part."""
+        sizes = {j: n for j, n in round_robin_sizes(60_000, 6).items() if j < b}
+        rows = (
+            sdf.sampleBy("block", {j: 0.2 for j in sizes}, seed=23)
+            .groupBy("block")
+            .agg(F.avg("v").alias("mean"))
+            .collect()
+        )
+        means = {r["block"]: r["mean"] for r in rows}
+        assert set(means) == set(sizes)
+        want = sum(m * sizes[j] for j, m in means.items()) / sum(sizes.values())
+        got = stratified_avg(sdf, "v", "block", 0.2, sizes, seed=23)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestMV:
     def test_full_sample_closed_form_vs_duckdb(self, spark, sdf, pdf):

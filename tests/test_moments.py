@@ -67,6 +67,16 @@ class TestSparkJob:
     def sdf(self, spark, pdf):
         return spark.createDataFrame(pdf)
 
+    @pytest.fixture(scope="class")
+    def cached_sdf(self, spark, pdf):
+        """The reference tests need an executed scan: on an uncached local
+        relation the optimizer folds ``sampleBy``'s ``rand`` filter into the
+        relation on the driver, as one partition, so it keeps other rows."""
+        df = spark.createDataFrame(pdf).cache()
+        df.count()
+        yield df
+        df.unpersist()
+
     def _full_rate(self, b):
         return {j: 1.0 for j in range(b)}
 
@@ -123,6 +133,74 @@ class TestSparkJob:
             GROUP BY block, region
         """
         assert_equivalent(spark_df, sql, data=pdf)
+
+    @staticmethod
+    def _sampleby_reference(sdf, fractions, bounds_by_block, *, shift=0.0, seed=0):
+        """The per-block formulation computed on the driver: ``sampleBy``,
+        then ``DataBoundaries.classify``, then ``RegionMoments.from_values``."""
+        values: dict = {}
+        for r in sdf.sampleBy("block", fractions, seed=seed).collect():
+            if r["block"] not in bounds_by_block:
+                continue
+            x = float(r["v"]) + shift
+            region = bounds_by_block[r["block"]].classify(x)
+            if region in (Region.S, Region.L):
+                values.setdefault(r["block"], {Region.S: [], Region.L: []})[
+                    region
+                ].append(x)
+        return {
+            b: (
+                RegionMoments.from_values(vs[Region.S]),
+                RegionMoments.from_values(vs[Region.L]),
+            )
+            for b, vs in values.items()
+        }
+
+    @staticmethod
+    def _assert_moments_match(got, want):
+        """n exact; sums within rel 1e-12 (the driver sums in another order)."""
+        assert set(got) == set(want)
+        for b in want:
+            for g, w in zip(got[b], want[b]):
+                assert g.n == w.n
+                assert g.s1 == pytest.approx(w.s1, rel=1e-12)
+                assert g.s2 == pytest.approx(w.s2, rel=1e-12)
+                assert g.s3 == pytest.approx(w.s3, rel=1e-12)
+
+    def test_iid_path_matches_sampleby_reference(self, cached_sdf):
+        """One fraction and one boundary set: the literal-bound path keeps
+        the rows ``sampleBy`` keeps for the same seed."""
+        bounds = {j: BOUNDS for j in range(4)}
+        fr = {j: 0.3 for j in range(4)}
+        got = sample_region_moments(cached_sdf, "v", "block", fr, bounds, seed=13)
+        want = self._sampleby_reference(cached_sdf, fr, bounds, seed=13)
+        assert len(want) == 4
+        self._assert_moments_match(got, want)
+
+    def test_per_block_path_matches_sampleby_reference(self, cached_sdf):
+        """Per-block fractions and boundaries (non-iid mode), with a shift."""
+        bounds = {
+            j: DataBoundaries(sketch0=95.0 + 4 * j + 7.0, sigma=15.0 + j)
+            for j in range(4)
+        }
+        fr = {0: 0.2, 1: 0.35, 2: 0.5, 3: 1.0}
+        got = sample_region_moments(
+            cached_sdf, "v", "block", fr, bounds, shift=7.0, seed=17
+        )
+        want = self._sampleby_reference(cached_sdf, fr, bounds, shift=7.0, seed=17)
+        assert len(want) == 4
+        self._assert_moments_match(got, want)
+
+    def test_iid_path_drops_unlisted_block(self, cached_sdf):
+        """A block in the data but in neither map is absent from the result;
+        every listed block equals the reference."""
+        bounds = {j: BOUNDS for j in range(3)}
+        fr = {j: 0.3 for j in range(3)}
+        got = sample_region_moments(cached_sdf, "v", "block", fr, bounds, seed=19)
+        want = self._sampleby_reference(cached_sdf, fr, bounds, seed=19)
+        assert 3 not in got
+        assert set(want) == {0, 1, 2}
+        self._assert_moments_match(got, want)
 
     def test_sampling_rate_roughly_respected(self, sdf):
         bounds = {j: BOUNDS for j in range(4)}
